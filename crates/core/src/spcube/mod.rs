@@ -279,7 +279,11 @@ impl SpCube {
             }
         }
         metrics.push(result.metrics.clone());
-        Ok(Cube::from_pairs(result.into_flat_outputs()))
+        let mut cube = Cube::with_capacity(result.outputs.iter().map(Vec::len).sum());
+        for (g, out) in result.outputs.into_iter().flatten() {
+            cube.insert(g, out);
+        }
+        Ok(cube)
     }
 }
 

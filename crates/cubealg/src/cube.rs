@@ -24,6 +24,13 @@ impl Cube {
         Cube::default()
     }
 
+    /// An empty cube with room for `groups` c-groups.
+    pub fn with_capacity(groups: usize) -> Cube {
+        Cube {
+            groups: HashMap::with_capacity(groups),
+        }
+    }
+
     /// Number of c-groups across all cuboids.
     pub fn len(&self) -> usize {
         self.groups.len()
@@ -61,9 +68,11 @@ impl Cube {
         self.groups.keys().filter(|g| g.mask == mask).count()
     }
 
-    /// Build from an iterator of pairs (panics on duplicates).
+    /// Build from an iterator of pairs (panics on duplicates), presized
+    /// to the iterator's lower size bound.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Group, AggOutput)>) -> Cube {
-        let mut c = Cube::new();
+        let pairs = pairs.into_iter();
+        let mut c = Cube::with_capacity(pairs.size_hint().0);
         for (g, o) in pairs {
             c.insert(g, o);
         }

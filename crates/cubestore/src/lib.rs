@@ -101,7 +101,7 @@ pub use manifest::{
 };
 pub use recover::{recompute_cuboid, scan_store, GenerationInfo, ScanReport};
 pub use scrub::{ScrubConfig, ScrubFinding, ScrubReport, Scrubber};
-pub use segment::Segment;
+pub use segment::{CuboidColumns, Segment};
 pub use server::{
     answer, CubeServer, Deadline, Request, Response, ServeError, ServerConfig, ServerStats,
 };

@@ -33,6 +33,7 @@
 //! invariants (sorted dictionaries, in-range codes, sorted rows), so a
 //! corrupt or hand-forged blob is rejected rather than served.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 
 use spcube_agg::AggOutput;
@@ -86,44 +87,178 @@ pub struct Segment {
     blocks: Vec<BlockMeta>,
 }
 
+/// One cuboid's rows gathered column by column: the input of the segment
+/// builder. Row `i` is `keys[slot][i]` on every grouped dimension plus
+/// `values[i]`; rows may arrive in any order. `V` is an owned
+/// [`AggOutput`] inside [`Segment::build`], or a borrowed one when the
+/// rows are only encoded ([`CuboidColumns::encode`]).
+#[derive(Debug)]
+pub struct CuboidColumns<V> {
+    mask: Mask,
+    keys: Vec<Vec<Value>>,
+    values: Vec<V>,
+}
+
+impl<V: Borrow<AggOutput>> CuboidColumns<V> {
+    /// No rows yet, with room for `rows` of them.
+    pub fn with_capacity(mask: Mask, rows: usize) -> Self {
+        CuboidColumns {
+            mask,
+            keys: (0..mask.arity())
+                .map(|_| Vec::with_capacity(rows))
+                .collect(),
+            values: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Append one row. Panics when the key does not have the cuboid's
+    /// arity (a programming error, like [`Group::new`]).
+    pub fn push(&mut self, key: impl ExactSizeIterator<Item = Value>, value: V) {
+        assert_eq!(
+            key.len(),
+            self.keys.len(),
+            "segment row arity mismatch for cuboid {}",
+            self.mask
+        );
+        for (col, v) in self.keys.iter_mut().zip(key) {
+            col.push(v);
+        }
+        self.values.push(value);
+    }
+
+    /// Number of rows gathered.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether no row has been gathered.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Encode straight to `CSEG1` bytes without owning the values: the
+    /// same bytes as building the [`Segment`] and encoding it.
+    pub fn encode(self, d: usize) -> Result<Vec<u8>> {
+        let sorted = SortedKeys::new(self.keys, self.values.len());
+        let values = sorted
+            .order
+            .iter()
+            .map(|&r| self.values[r as usize].borrow());
+        encode_parts(
+            d,
+            self.mask,
+            DEFAULT_BLOCK_SIZE,
+            &sorted.columns,
+            values,
+            &sorted.blocks,
+        )
+    }
+}
+
+/// The dictionary-encoded key columns of one cuboid in sorted row order,
+/// their zone maps, and the input row each sorted row came from.
+struct SortedKeys {
+    columns: Vec<Column>,
+    blocks: Vec<BlockMeta>,
+    /// `order[i]` is the input row that sorts to position `i`.
+    order: Vec<u32>,
+}
+
+impl SortedKeys {
+    /// Each column's sorted distinct values become its dictionary, and a
+    /// binary search gives every row its code. Rows are then ordered by
+    /// sorting a `u32` permutation on their code tuples, ties kept in
+    /// input order. Codes order exactly as the values do, so this is the
+    /// key order without comparing boxed keys.
+    fn new(keys: Vec<Vec<Value>>, rows: usize) -> SortedKeys {
+        let arity = keys.len();
+        // Row-major code tuples: row `r` owns `tuples[r * arity..][..arity]`.
+        let mut tuples = vec![0u32; rows * arity];
+        let mut dicts = Vec::with_capacity(arity);
+        for (slot, col) in keys.into_iter().enumerate() {
+            let mut dict = col.clone();
+            dict.sort_unstable();
+            dict.dedup();
+            for (r, v) in col.iter().enumerate() {
+                // spcheck:allow(error_hygiene): encode-side cast; dict len <= row count, which put_len caps at u32::MAX at write time
+                tuples[r * arity + slot] = dict.binary_search(v).expect("value in dict") as u32;
+            }
+            dicts.push(dict);
+        }
+        let tuple = |r: usize| &tuples[r * arity..][..arity];
+        // A code below `dict.len()` fits in the bits of that length. When
+        // a row's codes pack into one `u64`, as they do unless the cuboid
+        // is both wide and high-cardinality, the sort moves flat
+        // `(key, row)` pairs; otherwise it compares the tuples in place.
+        let widths: Vec<u32> = dicts
+            .iter()
+            .map(|d| usize::BITS - d.len().leading_zeros())
+            .collect();
+        let order: Vec<u32> = if widths.iter().sum::<u32>() <= u64::BITS {
+            let mut keyed: Vec<(u64, u32)> = (0..rows)
+                .map(|r| {
+                    let key = (tuple(r).iter().zip(&widths))
+                        .fold(0, |key, (&code, &w)| key << w | u64::from(code));
+                    // spcheck:allow(error_hygiene): encode-side cast; put_len caps the row count at u32::MAX at write time
+                    (key, r as u32)
+                })
+                .collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, r)| r).collect()
+        } else {
+            // spcheck:allow(error_hygiene): encode-side cast; put_len caps the row count at u32::MAX at write time
+            let mut order: Vec<u32> = (0..rows as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                tuple(a as usize).cmp(tuple(b as usize)).then(a.cmp(&b))
+            });
+            order
+        };
+        let columns = dicts
+            .into_iter()
+            .enumerate()
+            .map(|(slot, dict)| Column {
+                dict,
+                codes: order
+                    .iter()
+                    .map(|&r| tuples[r as usize * arity + slot])
+                    .collect(),
+            })
+            .collect::<Vec<_>>();
+        let blocks = build_blocks(&columns, rows, DEFAULT_BLOCK_SIZE);
+        SortedKeys {
+            columns,
+            blocks,
+            order,
+        }
+    }
+}
+
 impl Segment {
     /// Build a segment from the rows of one cuboid. Keys must all have the
     /// cuboid's arity; rows are sorted by key here, so callers can pass
     /// them in any order. Panics on an arity mismatch (a programming
     /// error, like [`Group::new`]).
-    pub fn build(d: usize, mask: Mask, mut rows: Vec<(Box<[Value]>, AggOutput)>) -> Segment {
-        let arity = mask.arity() as usize;
-        for (key, _) in &rows {
-            assert_eq!(
-                key.len(),
-                arity,
-                "segment row arity mismatch for cuboid {mask}"
-            );
+    pub fn build(d: usize, mask: Mask, rows: Vec<(Box<[Value]>, AggOutput)>) -> Segment {
+        let mut gathered = CuboidColumns::with_capacity(mask, rows.len());
+        for (key, value) in rows {
+            gathered.push(key.into_vec().into_iter(), value);
         }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-
-        // Dictionaries: sorted distinct values per column.
-        let mut columns = Vec::with_capacity(arity);
-        for slot in 0..arity {
-            let mut dict: Vec<Value> = rows.iter().map(|(k, _)| k[slot].clone()).collect();
-            dict.sort();
-            dict.dedup();
-            let codes = rows
-                .iter()
-                // spcheck:allow(error_hygiene): encode-side cast; dict len <= row count, which put_len caps at u32::MAX at write time
-                .map(|(k, _)| dict.binary_search(&k[slot]).expect("value in dict") as u32)
-                .collect();
-            columns.push(Column { dict, codes });
-        }
-        let values: Vec<AggOutput> = rows.into_iter().map(|(_, v)| v).collect();
-        let blocks = build_blocks(&columns, values.len(), DEFAULT_BLOCK_SIZE);
+        let sorted = SortedKeys::new(gathered.keys, gathered.values.len());
+        // Move each output to its sorted position; the placeholder left
+        // behind is dropped unread.
+        let mut unsorted = gathered.values;
+        let values = sorted
+            .order
+            .iter()
+            .map(|&r| std::mem::replace(&mut unsorted[r as usize], AggOutput::Number(0.0)))
+            .collect();
         Segment {
             d,
             mask,
             block_size: DEFAULT_BLOCK_SIZE,
-            columns,
+            columns: sorted.columns,
             values,
-            blocks,
+            blocks: sorted.blocks,
         }
     }
 
@@ -212,17 +347,18 @@ impl Segment {
     /// scan only that block.
     pub fn point(&self, key: &[Value]) -> Option<&AggOutput> {
         let needle = self.codes_of(key)?;
-        if self.is_empty() {
-            return None;
+        // Binary search over block indices: `lo` ends one past the last
+        // block whose first key is <= the needle.
+        let (mut lo, mut hi) = (0, self.blocks.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.cmp_row(mid * self.block_size, &needle) == Ordering::Greater {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
         }
-        // partition_point over blocks: first keys <= needle.
-        let candidates = (0..self.blocks.len())
-            .collect::<Vec<_>>()
-            .partition_point(|&b| self.cmp_row(b * self.block_size, &needle) != Ordering::Greater);
-        if candidates == 0 {
-            return None;
-        }
-        let block = candidates - 1;
+        let block = lo.checked_sub(1)?;
         let start = block * self.block_size;
         let end = (start + self.block_size).min(self.len());
         (start..end)
@@ -256,33 +392,14 @@ impl Segment {
     /// Serialize (see the module-level wire format). Fails only when a
     /// collection exceeds the format's 32-bit length fields.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        out.extend_from_slice(SEGMENT_MAGIC);
-        put_len(&mut out, self.d)?;
-        put_u32(&mut out, self.mask.0);
-        put_len(&mut out, self.len())?;
-        put_len(&mut out, self.block_size)?;
-        for col in &self.columns {
-            put_len(&mut out, col.dict.len())?;
-            for v in &col.dict {
-                put_value(&mut out, v)?;
-            }
-            for &code in &col.codes {
-                put_u32(&mut out, code);
-            }
-        }
-        for v in &self.values {
-            put_agg_output(&mut out, v)?;
-        }
-        put_len(&mut out, self.blocks.len())?;
-        for meta in &self.blocks {
-            for &(lo, hi) in &meta.ranges {
-                put_u32(&mut out, lo);
-                put_u32(&mut out, hi);
-            }
-        }
-        seal(&mut out);
-        Ok(out)
+        encode_parts(
+            self.d,
+            self.mask,
+            self.block_size,
+            &self.columns,
+            self.values.iter(),
+            &self.blocks,
+        )
     }
 
     /// Deserialize, verifying the checksum before any field is trusted and
@@ -385,6 +502,45 @@ impl Segment {
     }
 }
 
+/// Write the `CSEG1` bytes of a segment's parts; `values` yields the
+/// aggregate outputs in sorted row order.
+fn encode_parts<'a>(
+    d: usize,
+    mask: Mask,
+    block_size: usize,
+    columns: &[Column],
+    values: impl ExactSizeIterator<Item = &'a AggOutput>,
+    blocks: &[BlockMeta],
+) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    out.extend_from_slice(SEGMENT_MAGIC);
+    put_len(&mut out, d)?;
+    put_u32(&mut out, mask.0);
+    put_len(&mut out, values.len())?;
+    put_len(&mut out, block_size)?;
+    for col in columns {
+        put_len(&mut out, col.dict.len())?;
+        for v in &col.dict {
+            put_value(&mut out, v)?;
+        }
+        for &code in &col.codes {
+            put_u32(&mut out, code);
+        }
+    }
+    for v in values {
+        put_agg_output(&mut out, v)?;
+    }
+    put_len(&mut out, blocks.len())?;
+    for meta in blocks {
+        for &(lo, hi) in &meta.ranges {
+            put_u32(&mut out, lo);
+            put_u32(&mut out, hi);
+        }
+    }
+    seal(&mut out);
+    Ok(out)
+}
+
 /// Compute the per-block zone maps for `columns` over `rows` rows.
 fn build_blocks(columns: &[Column], rows: usize, block_size: usize) -> Vec<BlockMeta> {
     let n_blocks = rows.div_ceil(block_size);
@@ -426,6 +582,168 @@ mod tests {
         Segment::build(3, Mask(0b011), data)
     }
 
+    /// Build `rows` both ways (owned into a [`Segment`], borrowed straight
+    /// to bytes), then check the decoded copy and the original against a
+    /// full scan: rows strictly sorted, every `point` probe over the
+    /// dictionaries' cross product, and every `slice_rows`.
+    fn check_build(d: usize, mask: Mask, rows: Vec<(Box<[Value]>, AggOutput)>) -> Segment {
+        let mut borrowed = CuboidColumns::with_capacity(mask, rows.len());
+        for (key, value) in &rows {
+            borrowed.push(key.iter().cloned(), value);
+        }
+        let borrowed = borrowed.encode(d).expect("encode borrowed");
+        let seg = Segment::build(d, mask, rows);
+        let bytes = seg.encode().expect("encode");
+        assert_eq!(borrowed, bytes, "borrowed and owned builds differ");
+        let back = Segment::decode(&bytes).expect("decode");
+        assert_eq!(back.encode().expect("re-encode"), bytes);
+        for s in [&seg, &back] {
+            let scan: Vec<(Vec<Value>, &AggOutput)> =
+                (0..s.len()).map(|i| (s.key(i), s.value(i))).collect();
+            assert!(scan.windows(2).all(|w| w[0].0 < w[1].0), "rows not sorted");
+            let mut probes = vec![Vec::new()];
+            for col in &s.columns {
+                probes = probes
+                    .into_iter()
+                    .flat_map(|p| {
+                        col.dict.iter().map(move |v| {
+                            let mut p = p.clone();
+                            p.push(v.clone());
+                            p
+                        })
+                    })
+                    .collect();
+            }
+            for probe in &probes {
+                let want = scan.iter().find(|(k, _)| k == probe).map(|&(_, v)| v);
+                assert_eq!(s.point(probe), want, "point {probe:?}");
+            }
+            for (slot, col) in s.columns.iter().enumerate() {
+                let absent = [Value::Int(i64::MIN), Value::str("absent")];
+                for v in col.dict.iter().chain(&absent) {
+                    let want: Vec<usize> =
+                        (0..scan.len()).filter(|&i| &scan[i].0[slot] == v).collect();
+                    assert_eq!(s.slice_rows(slot, v), want, "slice {slot} = {v}");
+                }
+            }
+        }
+        seg
+    }
+
+    #[test]
+    fn builder_sorts_integers_before_strings_in_a_mixed_column() {
+        let rows = vec![
+            (
+                vec![Value::str("b"), Value::Int(1)].into(),
+                AggOutput::Number(1.0),
+            ),
+            (
+                vec![Value::Int(5), Value::Int(1)].into(),
+                AggOutput::Number(2.0),
+            ),
+            (
+                vec![Value::str("a"), Value::Int(0)].into(),
+                AggOutput::Number(3.0),
+            ),
+            (
+                vec![Value::Int(-3), Value::Int(2)].into(),
+                AggOutput::Number(4.0),
+            ),
+            (
+                vec![Value::Int(5), Value::Int(0)].into(),
+                AggOutput::Number(5.0),
+            ),
+        ];
+        // The cross-product probes include keys below the first row
+        // (-3, 0) and above the last ("b", 2), all values in dictionary.
+        let seg = check_build(2, Mask(0b11), rows);
+        let firsts: Vec<Value> = (0..seg.len()).map(|i| seg.key(i)[0].clone()).collect();
+        assert_eq!(
+            firsts,
+            vec![
+                Value::Int(-3),
+                Value::Int(5),
+                Value::Int(5),
+                Value::str("a"),
+                Value::str("b"),
+            ]
+        );
+        assert_eq!(seg.value(1), &AggOutput::Number(5.0));
+    }
+
+    #[test]
+    fn builder_handles_duplicate_heavy_columns_across_blocks() {
+        // 400 unique keys over columns of 2, 3 and 67 distinct values,
+        // gathered in a scrambled order; 7 blocks at stride 64.
+        let rows: Vec<(Box<[Value]>, AggOutput)> = (0..400i64)
+            .map(|j| {
+                let i = j * 7919 % 400;
+                let key = vec![
+                    Value::Int(i % 2),
+                    Value::str(["x", "y", "z"][(i / 2 % 3) as usize]),
+                    Value::Int(i / 6),
+                ];
+                (key.into(), AggOutput::Number(i as f64))
+            })
+            .collect();
+        let seg = check_build(4, Mask(0b1011), rows);
+        assert_eq!(seg.len(), 400);
+        assert_eq!(seg.blocks.len(), 7);
+        let dict_lens: Vec<usize> = seg.columns.iter().map(|c| c.dict.len()).collect();
+        assert_eq!(dict_lens, vec![2, 3, 67]);
+    }
+
+    #[test]
+    fn builder_handles_empty_apex_and_single_row_cuboids() {
+        let empty = check_build(3, Mask(0b101), Vec::new());
+        assert!(empty.is_empty());
+        assert!(empty.blocks.is_empty());
+        let apex = check_build(3, Mask::EMPTY, vec![(Box::new([]), AggOutput::Number(9.0))]);
+        assert_eq!(apex.len(), 1);
+        assert_eq!(apex.point(&[]), Some(&AggOutput::Number(9.0)));
+        let single = check_build(
+            3,
+            Mask(0b110),
+            vec![(k(&[4, 2]), AggOutput::TopK(vec![(1.0, 2)]))],
+        );
+        assert_eq!(single.len(), 1);
+        assert_eq!(single.blocks.len(), 1);
+        assert_eq!(
+            single.point(&[Value::Int(4), Value::Int(2)]),
+            Some(single.value(0))
+        );
+    }
+
+    #[test]
+    fn builder_sorts_wide_cuboids_whose_codes_overflow_a_u64() {
+        // 24 columns: 23 of 4 distinct values (3 bits each) and a last one
+        // of 200 (8 bits), 77 bits in all, so rows sort tuple by tuple.
+        let rows: Vec<(Box<[Value]>, AggOutput)> = (0..200u64)
+            .map(|i| {
+                let mut key: Vec<Value> = (0..23u64)
+                    .map(|c| Value::Int(((i * 2_654_435_761 + c * 40_503) >> 7) as i64 % 4))
+                    .collect();
+                key.push(Value::Int(i as i64));
+                (key.into(), AggOutput::Number(i as f64))
+            })
+            .collect();
+        let mut reversed = rows.clone();
+        reversed.reverse();
+        let seg = Segment::build(24, Mask::full(24), rows.clone());
+        assert!((1..seg.len()).all(|i| seg.key(i - 1) < seg.key(i)));
+        let bytes = seg.encode().expect("encode");
+        assert_eq!(
+            Segment::build(24, Mask::full(24), reversed)
+                .encode()
+                .expect("encode"),
+            bytes
+        );
+        let back = Segment::decode(&bytes).expect("decode");
+        for (key, value) in &rows {
+            assert_eq!(back.point(key), Some(value));
+        }
+    }
+
     #[test]
     fn build_sorts_rows_and_round_trips() {
         let rows = vec![
@@ -463,6 +781,12 @@ mod tests {
         let last = seg.len() - 1;
         let last_key = seg.key(last);
         assert_eq!(seg.point(&last_key), Some(seg.value(last)));
+        // Keys beyond either end of the sorted rows: below the first row
+        // (its values absent from the dictionary) and above the last row
+        // (both values in their dictionaries).
+        assert_eq!(last_key, vec![Value::Int(71), Value::Int(2)]);
+        assert_eq!(seg.point(&[Value::Int(-1), Value::Int(0)]), None);
+        assert_eq!(seg.point(&[Value::Int(71), Value::Int(6)]), None);
         // Absent values (not even in the dictionary) miss cheaply.
         assert_eq!(seg.point(&[Value::Int(999), Value::Int(0)]), None);
         // Wrong arity misses rather than panicking.

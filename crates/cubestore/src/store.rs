@@ -54,7 +54,7 @@ use crate::manifest::{
     ManifestEntry, StoreKind,
 };
 use crate::recover::{recompute_cuboid, scan_store};
-use crate::segment::Segment;
+use crate::segment::{CuboidColumns, Segment};
 
 /// Default capacity (in decoded segments) of the hot-cuboid cache.
 pub const DEFAULT_CACHE_SEGMENTS: usize = 8;
@@ -96,7 +96,6 @@ pub fn write_store(
     spec: AggSpec,
     min_support: usize,
 ) -> Result<StoreWriteReport> {
-    type CuboidRows = Vec<(Box<[Value]>, AggOutput)>;
     // Next generation: one past anything ever written under the prefix,
     // sealed or not, so an aborted commit never gets its dirty directory
     // reused.
@@ -117,27 +116,36 @@ pub fn write_store(
         .max()
         .unwrap_or(0)
         + 1;
-    // BTreeMap so segments are written in ascending mask order — the
-    // output (blob sequence, manifest) is byte-identical across runs.
-    let mut by_mask: BTreeMap<Mask, CuboidRows> = BTreeMap::new();
+    // One pass over the cube gathers every cuboid's rows column by
+    // column, borrowing the outputs; a counting pass first sizes each
+    // cuboid exactly. BTreeMap so segments are written in ascending mask
+    // order — the output (blob sequence, manifest) is byte-identical
+    // across runs.
+    let mut counts: BTreeMap<Mask, usize> = BTreeMap::new();
+    for (g, _) in cube.iter() {
+        *counts.entry(g.mask).or_default() += 1;
+    }
+    let mut by_mask: BTreeMap<Mask, CuboidColumns<&AggOutput>> = counts
+        .into_iter()
+        .map(|(mask, rows)| (mask, CuboidColumns::with_capacity(mask, rows)))
+        .collect();
     for (g, v) in cube.iter() {
-        by_mask
-            .entry(g.mask)
-            .or_default()
-            .push((g.key.clone(), v.clone()));
+        if let Some(cuboid) = by_mask.get_mut(&g.mask) {
+            cuboid.push(g.key.iter().cloned(), v);
+        }
     }
     let mut entries = Vec::with_capacity(by_mask.len());
     let mut total_bytes = 0u64;
     let mut total_rows = 0u64;
     for (mask, rows) in by_mask {
-        let segment = Segment::build(d, mask, rows);
-        let encoded = segment.encode()?;
+        let n_rows = rows.len();
+        let encoded = rows.encode(d)?;
         let path = segment_path(prefix, generation, d, mask);
         total_bytes += encoded.len() as u64;
-        total_rows += segment.len() as u64;
+        total_rows += n_rows as u64;
         entries.push(ManifestEntry {
             mask,
-            rows: u32::try_from(segment.len()).map_err(|_| {
+            rows: u32::try_from(n_rows).map_err(|_| {
                 Error::Internal(format!(
                     "cuboid {mask} row count exceeds the manifest field"
                 ))

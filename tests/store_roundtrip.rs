@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use sp_cube_repro::agg::AggSpec;
 use sp_cube_repro::common::{Group, Mask, Relation, Schema, Value};
 use sp_cube_repro::cubealg::{buc, naive_cube, BucConfig, CubeQuery, CubeRead};
-use sp_cube_repro::cubestore::{segment_path, write_store, BlobStore, CubeStore};
+use sp_cube_repro::cubestore::{segment_path, write_store, BlobStore, CubeStore, Segment};
 use sp_cube_repro::datagen;
 use sp_cube_repro::mapreduce::Dfs;
 
@@ -190,6 +190,117 @@ fn slice_on_an_empty_cuboid_is_empty() {
         .is_empty());
     // Slicing on an ungrouped dimension stays an error even when empty.
     assert!(store.slice(Mask::single(0), 1, &Value::Int(1)).is_err());
+}
+
+/// 64-bit FNV-1a of a whole blob, for pinning encoded bytes.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(path, length, checksum)` of every segment blob `write_store` writes
+/// for `rel`'s cube, in listing order.
+fn segment_fingerprints(
+    rel: &Relation,
+    agg: AggSpec,
+    min_support: usize,
+) -> Vec<(String, u64, u64)> {
+    let cube = buc(rel, agg, &BucConfig { min_support });
+    let dfs = Dfs::new();
+    write_store(&dfs, "pin", &cube, rel.arity(), agg, min_support).unwrap();
+    dfs.list("pin")
+        .unwrap()
+        .into_iter()
+        .filter(|(path, _)| path.ends_with(".cseg"))
+        .map(|(path, _)| {
+            let bytes = dfs.get(&path).unwrap();
+            (path, bytes.len() as u64, fnv64(&bytes))
+        })
+        .collect()
+}
+
+/// The CSEG1 encoding is a persisted format: the bytes a cube writes are
+/// pinned, for integer dimensions (gen-zipf) and for string dimensions
+/// mixed with an integer one (retail).
+#[test]
+fn cseg1_bytes_are_pinned() {
+    // (cuboid mask, blob length, FNV-1a) of every `.cseg` in generation 1.
+    const ZIPF: &[(&str, u64, u64)] = &[
+        ("0000", 42, 0x36f2e6a42c0ac4ec),
+        ("0001", 11439, 0x98ce67f979efb38e),
+        ("0010", 11857, 0x86c7ed3fd67026a0),
+        ("0011", 45455, 0xc3a2dabd922579cb),
+        ("0100", 20815, 0x32f3ba4386d661a3),
+        ("0101", 61855, 0xc9df5f4fe5896069),
+        ("0110", 61721, 0xa0e479ae00c1f914),
+        ("0111", 81876, 0xfa14280a889d2c84),
+        ("1000", 21079, 0xd73f81f7adbc80d6),
+        ("1001", 61912, 0xc2bba755111930ea),
+        ("1010", 62066, 0x320e4f3b2391d33e),
+        ("1011", 81921, 0xa2cc64a2ca0f4b51),
+        ("1100", 68718, 0xe36db51da97b7036),
+        ("1101", 85818, 0xda4886ad58f22276),
+        ("1110", 85989, 0x1fa6f703b34f3fee),
+        ("1111", 103004, 0xd2f066de9dc8b8da),
+    ];
+    const RETAIL: &[(&str, u64, u64)] = &[
+        ("000", 42, 0xf847ac80a0690ed0),
+        ("001", 303, 0x8e4565c3a3369a15),
+        ("010", 237, 0xcddc5f8cd78d8a38),
+        ("011", 1632, 0x2d42d00970f2c124),
+        ("100", 397, 0xc989b71d7201aa96),
+        ("101", 2656, 0x3dfee4149a970072),
+        ("110", 2328, 0x50edd1c308ad43b7),
+        ("111", 2406, 0x5bd341570013cde3),
+    ];
+    let cases = [
+        (
+            "zipf",
+            segment_fingerprints(&datagen::gen_zipf(3000, 4, 0x5eed), AggSpec::Sum, 1),
+            ZIPF,
+        ),
+        (
+            "retail",
+            segment_fingerprints(&datagen::retail(800, 0.3, 0x5eed), AggSpec::Avg, 2),
+            RETAIL,
+        ),
+    ];
+    for (name, got, want) in cases {
+        let want: Vec<(String, u64, u64)> = want
+            .iter()
+            .map(|&(mask, len, sum)| (format!("pin/gen-00000001/cuboid-{mask}.cseg"), len, sum))
+            .collect();
+        assert_eq!(got, want, "{name} segment bytes changed");
+    }
+}
+
+/// `Segment::build` sorts its input: a shuffled copy of a cuboid's rows
+/// encodes to exactly the bytes of the sorted rows.
+#[test]
+fn segment_bytes_do_not_depend_on_row_order() {
+    let rel = datagen::retail(800, 0.3, 0x5eed);
+    let cube = buc(&rel, AggSpec::Sum, &BucConfig::default());
+    let mem = CubeQuery::new(&cube, 3);
+    for mask in Mask::full(3).subsets() {
+        let sorted: Vec<(Box<[Value]>, _)> = mem
+            .cuboid(mask)
+            .iter()
+            .map(|(g, v)| (g.key.clone(), (*v).clone()))
+            .collect();
+        // A seeded Fisher-Yates shuffle (xorshift64).
+        let mut shuffled = sorted.clone();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(mask.0);
+        for i in (1..shuffled.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let a = Segment::build(3, mask, sorted).encode().unwrap();
+        let b = Segment::build(3, mask, shuffled).encode().unwrap();
+        assert_eq!(a, b, "cuboid {mask}: row order changed the bytes");
+    }
 }
 
 /// Strategy: a small relation with clustered values (small domains force
