@@ -116,6 +116,7 @@ impl MrJob for AnnotateJob {
             Mask::EMPTY,
             AggSpec::Count,
             &BucConfig { min_support },
+            &|_, _| true,
             &mut |g, state| {
                 if let AggState::Count(c) = state {
                     let e = max_count.entry(g.mask).or_insert(0);

@@ -32,6 +32,7 @@ fn bench_sequential_cube(c: &mut Criterion) {
                 Mask::EMPTY,
                 AggSpec::Count,
                 &BucConfig { min_support: 16 },
+                &|_, _| true,
                 &mut |_, _| count += 1,
             );
             count

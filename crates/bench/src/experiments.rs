@@ -398,6 +398,7 @@ pub fn rounds(cfg: &ExpConfig) -> Vec<Measurement> {
 /// full algorithm, on a skewed zipf workload.
 pub fn ablations(cfg: &ExpConfig) -> Vec<Measurement> {
     use spcube_core::{PartitionStrategy, SpCube, SpCubeConfig};
+    use spcube_mapreduce::Stopwatch;
 
     let n = cfg.scaled(120_000);
     let rel = datagen::gen_zipf(n, 4, 0xab1);
@@ -421,7 +422,9 @@ pub fn ablations(cfg: &ExpConfig) -> Vec<Measurement> {
 
     let mut rows = Vec::new();
     for (i, (name, sp_cfg)) in variants.iter().enumerate() {
+        let wall = Stopwatch::start();
         let run = SpCube::run(&rel, &cluster, sp_cfg).expect("ablation run failed");
+        let wall_seconds = wall.seconds();
         let cube_round = run.metrics.rounds.last().expect("cube round");
         let inputs = &cube_round.reducer_input_bytes[1..];
         let max = *inputs.iter().max().unwrap_or(&0) as f64;
@@ -438,7 +441,7 @@ pub fn ablations(cfg: &ExpConfig) -> Vec<Measurement> {
             spilled_mb: run.metrics.spilled_bytes() as f64 / (1024.0 * 1024.0),
             imbalance: if mean > 0.0 { max / mean } else { 1.0 },
             cube_groups: run.cube.len(),
-            wall_seconds: 0.0,
+            wall_seconds,
             task_retries: run.metrics.task_retries(),
             tasks_lost: run.metrics.tasks_lost(),
             re_executions: run.metrics.re_executions(),

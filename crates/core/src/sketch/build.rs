@@ -102,6 +102,7 @@ pub fn build_sketch_with(
         Mask::EMPTY,
         AggSpec::Count,
         &BucConfig { min_support },
+        &|_, _| true,
         &mut |g, state| {
             if let AggState::Count(c) = state {
                 if c as f64 > skew_threshold {

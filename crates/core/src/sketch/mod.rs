@@ -40,7 +40,7 @@ pub use build::{
 pub use node::SketchNode;
 
 use spcube_common::codec::{checked_body, put_len, put_value, seal, Reader};
-use spcube_common::{Error, Group, Mask, Result, Value};
+use spcube_common::{Error, Group, Mask, Result, Tuple, Value};
 
 /// The SP-Sketch: one [`SketchNode`] per cuboid, indexed by mask.
 #[derive(Debug, Clone)]
@@ -77,11 +77,21 @@ impl SpSketch {
     }
 
     /// Whether the c-group with `key` in cuboid `mask` is recorded as
-    /// skewed. This is the mapper's skew test (Algorithm 3, line 6),
-    /// implemented as a hash lookup as described in Section 5.
+    /// skewed. This is the mapper's skew test (Algorithm 3, line 6). The
+    /// paper describes a hash table; this is a lookup in the cuboid's
+    /// ordered skew set (see [`SketchNode`]).
     #[inline]
     pub fn is_skewed(&self, mask: Mask, key: &[Value]) -> bool {
         self.nodes[mask.0 as usize].is_skewed(key)
+    }
+
+    /// Whether the c-group of tuple `t` in cuboid `mask` is recorded as
+    /// skewed. Projects `t` only when the cuboid records any skews, so the
+    /// common case of a skew-free cuboid allocates nothing.
+    #[inline]
+    pub(crate) fn is_skewed_at(&self, mask: Mask, t: &Tuple) -> bool {
+        let node = &self.nodes[mask.0 as usize];
+        node.skew_count() > 0 && node.is_skewed(&t.project(mask))
     }
 
     /// [`SpSketch::is_skewed`] for a [`Group`].

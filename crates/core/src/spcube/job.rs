@@ -67,6 +67,13 @@ impl<'a> SpCubeJob<'a> {
     fn is_skewed(&self, g: &Group) -> bool {
         self.skew_agg && self.sketch.is_skewed_group(g)
     }
+
+    /// [`SpCubeJob::is_skewed`] for the c-group of `t` in cuboid `mask`,
+    /// without building the group.
+    #[inline]
+    fn is_skewed_at(&self, mask: Mask, t: &Tuple) -> bool {
+        self.skew_agg && self.sketch.is_skewed_at(mask, t)
+    }
 }
 
 impl MrJob for SpCubeJob<'_> {
@@ -195,7 +202,11 @@ impl MrJob for SpCubeJob<'_> {
         // Anchor group: run BUC over the anchor's tuples, computing the
         // anchor and exactly those ancestors assigned to it — an ancestor
         // `h` belongs to the BFS-first non-skewed descendant of `h`
-        // (Section 5.1's shared-ancestor rule).
+        // (Section 5.1's shared-ancestor rule). The rule is monotone: if
+        // `h` goes to another anchor, a non-skewed subset of `h` precedes
+        // this anchor in BFS order, and every superset of `h` contains it.
+        // So BUC prunes an unassigned partition with its whole subtree
+        // instead of computing groups only to discard them.
         let tuples: Vec<Tuple> = values
             .into_iter()
             .map(|v| match v {
@@ -212,12 +223,10 @@ impl MrJob for SpCubeJob<'_> {
             anchor,
             self.spec,
             &self.buc_cfg,
+            &|h, t| anchor_mask(h, |sub| self.is_skewed_at(sub, t)) == Some(anchor),
             &mut |h, state| {
                 ctx.charge(1);
-                let assigned = anchor_mask(h.mask, |sub| self.is_skewed(&h.project(sub)));
-                if assigned == Some(anchor) {
-                    ctx.emit((h, state.finalize()));
-                }
+                ctx.emit((h, state.finalize()));
             },
         );
     }

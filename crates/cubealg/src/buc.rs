@@ -11,7 +11,8 @@
 //! the recursion can start from a non-empty `fixed` mask (the anchor's
 //! grouped dimensions, on which all input tuples agree), computing only the
 //! cuboids that are supersets of `fixed` — exactly "compute BUC over
-//! ancestors" from Algorithm 3.
+//! ancestors" from Algorithm 3. A `keep` predicate prunes whole subtrees of
+//! that recursion, so a reducer computes only the ancestors assigned to it.
 
 use spcube_agg::{AggSpec, AggState};
 use spcube_common::{Group, Mask, Relation, Tuple};
@@ -43,6 +44,7 @@ pub fn buc(rel: &Relation, spec: AggSpec, cfg: &BucConfig) -> Cube {
         Mask::EMPTY,
         spec,
         cfg,
+        &|_, _| true,
         &mut |g, s| cube.insert_state(g, &s),
     );
     cube
@@ -55,21 +57,30 @@ pub fn buc(rel: &Relation, spec: AggSpec, cfg: &BucConfig) -> Cube {
 /// `fixed` (they belong to one c-group of that cuboid), and `d` is the total
 /// dimension count. The slice is reordered in place (BUC sorts partitions).
 ///
-/// The `emit` closure receives each group exactly once; SP-Cube's reducers
-/// use it to apply the anchor-assignment filter before writing output.
+/// `keep(mask, first)` is asked about every partition, the root included,
+/// before it is aggregated; `first` is any tuple of the partition (all of
+/// them agree on `mask`). A rejected partition is neither aggregated,
+/// sorted nor recursed into, so none of its super-groups is emitted either.
+/// That is only sound when `keep` is **monotone**: if it rejects a group it
+/// must reject every ancestor (superset group) of it as well. Iceberg
+/// pruning is monotone for the same reason, and so is SP-Cube's
+/// anchor-assignment rule. Pass `&|_, _| true` to compute every group.
+///
+/// The `emit` closure receives each kept group exactly once.
 pub fn buc_from(
     tuples: &mut [&Tuple],
     d: usize,
     fixed: Mask,
     spec: AggSpec,
     cfg: &BucConfig,
+    keep: &impl Fn(Mask, &Tuple) -> bool,
     emit: &mut impl FnMut(Group, AggState),
 ) {
     if tuples.is_empty() || tuples.len() < cfg.min_support {
         return;
     }
     let free: Vec<usize> = (0..d).filter(|&i| !fixed.contains(i)).collect();
-    buc_rec(tuples, fixed, &free, spec, cfg, emit);
+    buc_rec(tuples, fixed, &free, spec, cfg, keep, emit);
 }
 
 fn buc_rec(
@@ -78,9 +89,13 @@ fn buc_rec(
     free: &[usize],
     spec: AggSpec,
     cfg: &BucConfig,
+    keep: &impl Fn(Mask, &Tuple) -> bool,
     emit: &mut impl FnMut(Group, AggState),
 ) {
     debug_assert!(!tuples.is_empty());
+    if !keep(mask, tuples[0]) {
+        return;
+    }
     // Aggregate the whole partition: this is the c-group at `mask`.
     let mut state = spec.init();
     for t in tuples.iter() {
@@ -101,7 +116,15 @@ fn buc_rec(
                 end += 1;
             }
             if end - start >= cfg.min_support {
-                buc_rec(&mut tuples[start..end], sub_mask, sub_free, spec, cfg, emit);
+                buc_rec(
+                    &mut tuples[start..end],
+                    sub_mask,
+                    sub_free,
+                    spec,
+                    cfg,
+                    keep,
+                    emit,
+                );
             }
             start = end;
         }
@@ -166,6 +189,7 @@ mod tests {
             Mask(0b001),
             AggSpec::Sum,
             &BucConfig::default(),
+            &|_, _| true,
             &mut |g, s| {
                 got.push((g, s));
             },
@@ -198,6 +222,7 @@ mod tests {
             Mask::EMPTY,
             AggSpec::Count,
             &BucConfig { min_support: 2 },
+            &|_, _| true,
             &mut |g, _| groups.push(g),
         );
         // Apex (3 tuples) and (1) (2 tuples) survive; (2) is pruned.
@@ -218,6 +243,7 @@ mod tests {
             Mask::EMPTY,
             AggSpec::Count,
             &BucConfig::default(),
+            &|_, _| true,
             &mut |_, _| n += 1,
         );
         assert_eq!(n, 0);

@@ -4,11 +4,11 @@
 
 use proptest::prelude::*;
 
-use sp_cube_repro::agg::AggSpec;
+use sp_cube_repro::agg::{AggOutput, AggSpec};
 use sp_cube_repro::baselines::{mr_cube, naive_mr_cube, MrCubeConfig};
 use sp_cube_repro::common::{Group, Mask, Relation, Schema, Tuple, Value};
-use sp_cube_repro::core::{build_exact_sketch, sp_cube};
-use sp_cube_repro::cubealg::{buc, naive_cube, pipesort, BucConfig};
+use sp_cube_repro::core::{build_exact_sketch, sp_cube, SpCube, SpCubeConfig};
+use sp_cube_repro::cubealg::{buc, buc_from, naive_cube, pipesort, BucConfig, Cube};
 use sp_cube_repro::lattice::{anchor_mask, is_anchor};
 use sp_cube_repro::mapreduce::ClusterConfig;
 
@@ -25,6 +25,41 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
             rel
         })
     })
+}
+
+/// A random skew oracle over (mask, projected key): `seed`'s bit at a
+/// position hashed from the group marks it skewed. Arbitrary on purpose —
+/// not upward-closed, not tied to group sizes — so the pruning law is
+/// checked for every skew profile, not only the ones a sketch produces.
+fn seeded_skew(seed: u64, mask: Mask, key: &[Value]) -> bool {
+    let pos = key.iter().fold(u64::from(mask.0) * 0x9e37, |h, v| {
+        h.wrapping_mul(31)
+            .wrapping_add(v.as_int().unwrap_or(0) as u64)
+    });
+    (seed >> (pos % 64)) & 1 == 1
+}
+
+/// BUC from cuboid `fixed` over `tuples`, with `keep`, as sorted
+/// `(group, output)` pairs.
+fn buc_pairs(
+    tuples: &[&Tuple],
+    d: usize,
+    fixed: Mask,
+    keep: &impl Fn(Mask, &Tuple) -> bool,
+) -> Vec<(Group, AggOutput)> {
+    let mut refs = tuples.to_vec();
+    let mut out = Vec::new();
+    buc_from(
+        &mut refs,
+        d,
+        fixed,
+        AggSpec::Sum,
+        &BucConfig::default(),
+        keep,
+        &mut |g, s| out.push((g, s.finalize())),
+    );
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
 }
 
 proptest! {
@@ -139,5 +174,61 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(cube.len(), expected);
+    }
+
+    #[test]
+    fn assignment_pruned_buc_equals_filtered_buc(rel in arb_relation(), seed in 0..u64::MAX) {
+        let d = rel.arity();
+        let assigned = |h: Mask, anchor: Mask, t: &Tuple| {
+            anchor_mask(h, |sub| seeded_skew(seed, sub, &t.project(sub))) == Some(anchor)
+        };
+        for anchor in Mask::full(d).subsets() {
+            let mut keys: Vec<Vec<Value>> = rel.tuples().iter().map(|t| t.project(anchor)).collect();
+            keys.sort();
+            keys.dedup();
+            for key in keys {
+                let group: Vec<&Tuple> =
+                    rel.tuples().iter().filter(|t| t.project(anchor) == key).collect();
+                let pruned = buc_pairs(&group, d, anchor, &|h, t| assigned(h, anchor, t));
+                let mut filtered = buc_pairs(&group, d, anchor, &|_, _| true);
+                filtered.retain(|(g, _)| {
+                    anchor_mask(g.mask, |sub| seeded_skew(seed, sub, &g.project(sub).key))
+                        == Some(anchor)
+                });
+                prop_assert_eq!(pruned, filtered, "anchor {:?} key {:?}", anchor, key);
+            }
+        }
+        // With nothing pruned, buc_from from the apex is the whole cube.
+        let all: Vec<&Tuple> = rel.tuples().iter().collect();
+        let unpruned = Cube::from_pairs(buc_pairs(&all, d, Mask::EMPTY, &|_, _| true));
+        let expect = buc(&rel, AggSpec::Sum, &BucConfig::default());
+        prop_assert!(unpruned.approx_eq(&expect, 0.0), "{:?}", unpruned.diff(&expect, 0.0, 3));
+    }
+
+    #[test]
+    fn pruned_spcube_equals_buc_under_iceberg_and_ablations(
+        rel in arb_relation(),
+        k in 1usize..8,
+        m_support in (1usize..30).prop_flat_map(|m| (m..=m, 1..=m + 1)),
+        ablation in 0u8..4,
+    ) {
+        let (m, min_support) = m_support;
+        let (factorize, skew_agg) = (ablation & 1 == 0, ablation & 2 == 0);
+        let mut cfg = SpCubeConfig::new(AggSpec::Sum);
+        cfg.min_support = min_support;
+        cfg.factorize_ancestors = factorize;
+        cfg.map_side_skew_aggregation = skew_agg;
+        let run = SpCube::run(&rel, &ClusterConfig::new(k, m), &cfg).unwrap();
+        let expect = buc(&rel, AggSpec::Sum, &BucConfig { min_support });
+        prop_assert!(
+            run.cube.approx_eq(&expect, 1e-9),
+            "k={} m={} min_support={} factorize={} skew_agg={}: {:?}",
+            k,
+            m,
+            min_support,
+            factorize,
+            skew_agg,
+            run.cube.diff(&expect, 1e-9, 3)
+        );
     }
 }
